@@ -218,15 +218,24 @@ class ContextPredictor(ValuePredictor):
         self._level1: Dict[int, Tuple[str, Tuple[int, ...]]] = {}
         #: slot -> (context tag, predicted value, confidence)
         self._level2: Dict[int, Tuple[Tuple[str, Tuple[int, ...]], int, int]] = {}
+        #: the last context hashed and its slot: ``update`` hashes the
+        #: same (site, history) that ``predict`` just did
+        self._last_context: Optional[Tuple[str, Tuple[int, ...]]] = None
+        self._last_context_slot = 0
 
     def _context_slot(self, tag: Tuple[str, Tuple[int, ...]]) -> int:
+        if tag == self._last_context:
+            return self._last_context_slot
         site, history = tag
         mixed = zlib.crc32(site.encode())
         for value in history:
             mixed = zlib.crc32(
                 (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"), mixed
             )
-        return mixed % self.entries
+        slot = mixed % self.entries
+        self._last_context = tag
+        self._last_context_slot = slot
+        return slot
 
     def predict(self, site: str) -> Optional[int]:
         self.lookups += 1

@@ -5,9 +5,16 @@ issue-word shaping, window gating, memory disambiguation and wrong-path
 accounting at single-cycle granularity (within documented tolerances).
 """
 
+import dataclasses
+
 from repro.interp import run_program
+from repro.isa.registers import NUM_REGS
 from repro.machine import BranchMode, Discipline, MachineConfig, build_templates
-from repro.machine.dynamic import DynamicEngine
+from repro.machine.config import ISSUE_MODELS
+from repro.machine import dynamic
+from repro.machine.dynamic import DynamicEngine, IssuePlan
+from repro.machine.simulator import simulate
+from repro.machine.templates import T_LOAD, T_SYSCALL
 from repro.program import parse_program
 
 
@@ -68,6 +75,62 @@ block a:
             + block_of_movs(4, "b")
         )
         assert run_engine(split).cycles >= run_engine(merged).cycles
+
+
+class TestIssuePlan:
+    """Issue-cycle offsets are decoded once per template and issue model."""
+
+    ASM = """.entry a
+block a:
+    mov r1, #8192
+    ldw r2, [r1]
+    ldw r3, [r1+4]
+    add r4, r2, r3
+    sys exit(r4)
+"""
+
+    def plan(self, issue_model):
+        template = build_templates(parse_program(self.ASM))["a"]
+        return IssuePlan(template, ISSUE_MODELS[issue_model], max_latency=1)
+
+    def test_word_model_offsets(self):
+        # 1M+1A: mov and the first load share word 1, the second load
+        # opens word 2 and the add joins it; the syscall takes no slot.
+        plan = self.plan(2)
+        assert [node[5] for node in plan.nodes] == [1, 1, 2, 2, 2]
+        assert (plan.words, plan.first_issue) == (2, 1)
+
+    def test_sequential_offsets(self):
+        # Issue model 1 issues from the block's fetch cycle itself
+        # (ROADMAP item 1B), one node per cycle.
+        plan = self.plan(1)
+        assert [node[5] for node in plan.nodes] == [0, 1, 2, 3, 4]
+        assert (plan.words, plan.first_issue) == (4, 0)
+
+    def test_node_encoding(self):
+        # Missing sources read a padding register past the real ones; a
+        # node without a destination writes a second one.
+        cls, dest, *srcs, _offset, index, site = self.plan(8).nodes[1]
+        assert (cls, dest, index, site) == (T_LOAD, 2, 1, "a#1")
+        assert srcs == [1, NUM_REGS, NUM_REGS]
+        syscall = self.plan(8).nodes[-1]
+        assert syscall[:2] == (T_SYSCALL, NUM_REGS + 1)
+
+
+class TestSlotTables:
+    def test_sliding_every_block_changes_nothing(self, grep_prepared,
+                                                 monkeypatch):
+        # With the smallest span the tables slide whenever a block needs
+        # room, instead of once in tens of thousands of cycles.
+        config = MachineConfig(
+            discipline=Discipline.DYNAMIC, issue_model=2, memory="G",
+            branch_mode=BranchMode.ENLARGED, window_blocks=256,
+            value_predictor="stride",
+        )
+        wide = simulate(grep_prepared, config)
+        monkeypatch.setattr(dynamic, "_MIN_SLOT_SPAN", 1)
+        tight = simulate(grep_prepared, config)
+        assert dataclasses.asdict(tight) == dataclasses.asdict(wide)
 
 
 class TestWindowGating:

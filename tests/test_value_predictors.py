@@ -32,6 +32,7 @@ from repro.machine.dynamic import DynamicEngine
 from repro.predict import (
     CONFIDENCE_MAX,
     CONFIDENCE_THRESHOLD,
+    CONTEXT_HISTORY,
     ContextPredictor,
     LastValuePredictor,
     PerfectValuePredictor,
@@ -194,6 +195,48 @@ class TestContext:
         # data); either way nothing confirms from the clobbered table
         # until it retrains.
         assert delivered[0] is None or predictor.squashed > before
+
+    def test_context_hashed_once_per_load(self, monkeypatch):
+        # predict and update look up the same (site, history) context;
+        # the memo hashes it once per load instead of twice, and
+        # changes no prediction.
+        import repro.predict.value as value_module
+
+        crc32 = value_module.zlib.crc32
+        calls = []
+
+        class CountingZlib:
+            @staticmethod
+            def crc32(data, start=0):
+                calls.append(data)
+                return crc32(data, start)
+
+        class Unmemoised(ContextPredictor):
+            def _context_slot(self, tag):
+                self._last_context = None
+                return super()._context_slot(tag)
+
+        def run(predictor):
+            del calls[:]
+            delivered = []
+            for value in [7, 11, 13, 5] * 6:
+                for site in ("a#0", "b#1"):
+                    predicted = predictor.predict(site)
+                    predictor.update(site, value + len(site), predicted)
+                    delivered.append(predicted)
+            counters = (predictor.confirmed, predictor.squashed)
+            return delivered, counters, len(calls)
+
+        monkeypatch.setattr(value_module, "zlib", CountingZlib)
+        memo_delivered, memo_counters, memo_calls = run(ContextPredictor())
+        plain_delivered, plain_counters, plain_calls = run(Unmemoised())
+        assert memo_delivered == plain_delivered
+        assert memo_counters == plain_counters
+        # Two level-1 slot hashes (one per site, cached), then every
+        # context costs 1 + history crc32 calls per hash.
+        per_context = 1 + CONTEXT_HISTORY
+        assert (plain_calls - 2) % per_context == 0 and plain_calls > 2
+        assert memo_calls - 2 == (plain_calls - 2) // 2
 
 
 # ----------------------------------------------------------------------
