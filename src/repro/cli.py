@@ -56,6 +56,7 @@ from .harness.runner import SweepRunner
 from .machine.config import (
     BranchMode,
     Discipline,
+    GRIDS,
     ISSUE_MODELS,
     MEMORY_CONFIGS,
     MachineConfig,
@@ -127,6 +128,15 @@ def _add_grid_arguments(command: argparse.ArgumentParser,
                                  else f" (default: {default_benchmarks})"))
     command.add_argument("--scale", type=int, default=None,
                          help="input scale (default: REPRO_BENCH_SCALE or 1)")
+
+
+def _add_grid_option(command: argparse.ArgumentParser,
+                     default: Optional[str]) -> None:
+    """``--grid``, choosing from :data:`repro.machine.config.GRIDS`."""
+    command.add_argument("--grid", choices=sorted(GRIDS), default=default,
+                         help=f"configuration grid (default:"
+                              f" {default or 'full'}; `repro-sim list`"
+                              f" shows each grid's size)")
 
 
 def _benchmarks_from_args(args: argparse.Namespace) -> Optional[List[str]]:
@@ -230,17 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "cache, failures in sweep.state.json)",
     )
     _add_grid_arguments(sweep)
-    sweep.add_argument("--grid",
-                       choices=("full", "smoke", "cache", "spec", "sched"),
-                       default="full",
-                       help="configuration grid: the paper's 560-point"
-                            " space (full), the 40-point validation slice"
-                            " (smoke), the per-workload cache-geometry"
-                            " ladder (cache; honours each workload's"
-                            " cache_memories), the 68-point value/"
-                            "branch speculation grid (spec), or the"
-                            " 24-point list-vs-optimal static scheduling"
-                            " grid (sched)")
+    _add_grid_option(sweep, "full")
     sweep.add_argument("--limit", type=int, default=None,
                        help="stop after N uncached points (for budgeting)")
     _add_telemetry_arguments(sweep)
@@ -290,12 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
              " golden-baseline regression gating (--record / --check)",
     )
     _add_grid_arguments(validate)
-    validate.add_argument("--grid", choices=("full", "smoke", "spec", "sched"),
-                          default=None,
-                          help="configuration grid to validate (default:"
-                               " full; spec is the value/branch"
-                               " speculation grid, sched the"
-                               " list-vs-optimal scheduling grid)")
+    _add_grid_option(validate, None)
     validate.add_argument("--smoke", action="store_true",
                           help="validate the 40-config smoke grid instead"
                                " of the full 560-config space (same as"
@@ -414,14 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="submit one grid job to a running service daemon",
     )
     _add_grid_arguments(submit)
-    submit.add_argument("--grid",
-                        choices=("smoke", "full", "cache", "spec", "sched"),
-                        default="smoke",
-                        help="configuration grid to fan out (default:"
-                             " smoke, 40 configs; cache is the"
-                             " per-workload cache-geometry ladder; spec"
-                             " is the value/branch speculation grid;"
-                             " sched the list-vs-optimal scheduling grid)")
+    _add_grid_option(submit, "smoke")
     submit.add_argument("--limit", type=int, default=None,
                         help="submit only the first N points of the grid")
     submit.add_argument("--url", default="http://127.0.0.1:8737",
@@ -738,18 +726,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep completed but some points failed (structured ``PointFailure``
     records; summary on stderr), and 1 on a fatal harness error.
     """
-    from .harness.backend import make_backend, plan_tasks, PointTask
+    from .harness.backend import make_backend, plan_grid, PointTask
     from .harness.cache import result_key
     from .harness.checkpoint import SweepCheckpoint, default_checkpoint_path
     from .harness.executor import ExecutionPolicy
     from .harness.runner import reset_zero_ipc_warning
-    from .machine.config import (
-        cache_configuration_space,
-        full_configuration_space,
-        sched_configuration_space,
-        smoke_configuration_space,
-        spec_configuration_space,
-    )
     from .telemetry import MetricsCollector, ProgressLine
 
     if args.jobs < 1:
@@ -776,25 +757,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_cycles=args.max_cycles,
     )
     backend = make_backend(runner, policy, jobs=args.jobs)
-    grid = getattr(args, "grid", "full")
-    if grid == "cache":
-        # The cache-geometry ladder differs per benchmark (workloads may
-        # pin their own memory letters), so tasks are planned name-major
-        # here instead of through the shared-config plan_tasks() path.
-        task_list = [
-            (name, config, result_key(name, config, runner.scale))
-            for name in runner.benchmarks
-            for config in cache_configuration_space(name)
-        ]
-        total = len(task_list)
-    else:
-        space = {
-            "smoke": smoke_configuration_space,
-            "spec": spec_configuration_space,
-            "sched": sched_configuration_space,
-        }.get(grid, full_configuration_space)
-        configs = list(space())
-        total = len(configs) * len(runner.benchmarks)
+    tasks = plan_grid(
+        args.grid, runner.benchmarks,
+        lambda name, config: result_key(name, config, runner.scale),
+        benchmark_major=args.jobs > 1,
+    )
+    total = len(tasks)
 
     checkpoint_path = default_checkpoint_path()
     checkpoint = None
@@ -848,14 +816,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"[{done}/{total}] {outcome.result.summary()}",
                   file=sys.stderr)
 
-    if grid == "cache":
-        tasks = iter(task_list)
-    else:
-        tasks = plan_tasks(
-            configs, runner.benchmarks,
-            lambda name, config: result_key(name, config, runner.scale),
-            benchmark_major=args.jobs > 1,
-        )
     try:
         try:
             for name, config, key in tasks:
@@ -956,12 +916,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     Exit codes: 0 clean (warnings allowed), 4 gating findings, 1 fatal.
     """
-    from .machine.config import (
-        full_configuration_space,
-        sched_configuration_space,
-        smoke_configuration_space,
-        spec_configuration_space,
-    )
+    from .harness.backend import plan_grid
+    from .harness.cache import result_key
     from .telemetry import MetricsCollector, ProgressLine
     from .validate import default_baseline_path, record_baseline, run_oracle
 
@@ -974,23 +930,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     collector = MetricsCollector() if telemetry else None
     runner = SweepRunner(benchmarks=benchmarks, scale=args.scale,
                          collector=collector, validate=True)
-    space = {
-        "smoke": smoke_configuration_space,
-        "spec": spec_configuration_space,
-        "sched": sched_configuration_space,
-    }.get(grid, full_configuration_space)
-    configs = list(space())
-    total = len(configs) * len(runner.benchmarks)
-    progress = ProgressLine(total) if telemetry else None
-    done = 0
+    tasks = plan_grid(
+        grid, runner.benchmarks,
+        lambda name, config: result_key(name, config, runner.scale),
+    )
+    progress = ProgressLine(len(tasks)) if telemetry else None
     try:
         try:
-            for config in configs:
-                for name in runner.benchmarks:
-                    runner.run_point(name, config)
-                    done += 1
-                    if progress is not None:
-                        progress.update(done, f"{name} {config}")
+            for done, (name, config, _key) in enumerate(tasks, 1):
+                runner.run_point(name, config)
+                if progress is not None:
+                    progress.update(done, f"{name} {config}")
         finally:
             if progress is not None:
                 progress.finish()
@@ -1679,6 +1629,12 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         print(f"  {letter}: {memory}")
     print(f"window sizes: {WINDOW_SIZES}")
     print("branch modes:", ", ".join(mode.value for mode in BranchMode))
+    print("grids (points per benchmark):")
+    for grid, space in sorted(GRIDS.items()):
+        usual = len(space(None))
+        odd = ", ".join(f"{name}: {len(space(name))}" for name in WORKLOADS
+                        if len(space(name)) != usual)
+        print(f"  {grid}: {usual}" + (f" ({odd})" if odd else ""))
     return 0
 
 

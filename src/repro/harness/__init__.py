@@ -21,6 +21,7 @@ from .backend import (
     ProcessPoolBackend,
     SerialBackend,
     make_backend,
+    plan_grid,
     plan_tasks,
 )
 from .cache import ResultCache, atomic_write_json
@@ -86,6 +87,7 @@ __all__ = [
     "default_benchmarks",
     "default_scale",
     "make_backend",
+    "plan_grid",
     "plan_tasks",
     "workload_digest",
     "discipline_lines",

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..chaos.inject import current as chaos_current
-from ..machine.config import MachineConfig
+from ..machine.config import GRIDS, MachineConfig
 from ..stats.results import SimResult
 from .errors import PointFailure, WorkloadPrepareError
 from .executor import ExecutionPolicy, PointExecutor
@@ -457,3 +457,19 @@ def plan_tasks(configs: List[MachineConfig], benchmarks: List[str],
         for config in configs:
             for name in benchmarks:
                 yield name, config, key_fn(name, config)
+
+
+def plan_grid(grid: str, benchmarks: List[str], key_fn,
+              benchmark_major: bool = False,
+              ) -> List[Tuple[str, MachineConfig, str]]:
+    """:func:`plan_tasks` over the named grid ``GRIDS[grid]``.
+
+    The ``cache`` ladder differs per benchmark (workloads may pin their
+    own memory letters), so it always goes benchmark-major.
+    """
+    space = GRIDS[grid]
+    if grid == "cache":
+        return [(name, config, key_fn(name, config))
+                for name in benchmarks for config in space(name)]
+    return list(plan_tasks(space(None), benchmarks, key_fn,
+                           benchmark_major))

@@ -10,9 +10,10 @@ configurations).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 
 class Discipline(enum.Enum):
@@ -136,6 +137,9 @@ WINDOW_SIZES = (1, 4, 256)
 CACHE_BLOCK_BYTES = 16
 CACHE_WAYS = 2
 
+#: One discipline/branch-handling line: (discipline, window, branch mode).
+Line = Tuple[Discipline, int, BranchMode]
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -225,7 +229,7 @@ class MachineConfig:
         return base
 
 
-def scheduling_disciplines() -> Tuple[Tuple[Discipline, int, BranchMode], ...]:
+def scheduling_disciplines() -> Tuple[Line, ...]:
     """The paper's ten discipline/branch-handling lines."""
     lines = []
     for mode in (BranchMode.SINGLE, BranchMode.ENLARGED):
@@ -237,18 +241,37 @@ def scheduling_disciplines() -> Tuple[Tuple[Discipline, int, BranchMode], ...]:
     return tuple(lines)
 
 
-def full_configuration_space() -> Iterator[MachineConfig]:
-    """All 560 configurations of the paper's study."""
-    for (discipline, window, mode), issue, memory in itertools.product(
-        scheduling_disciplines(), PAPER_ISSUE_MODELS, PAPER_MEMORIES
-    ):
-        yield MachineConfig(
+@functools.lru_cache(maxsize=None)
+def _product(lines: Tuple[Line, ...], issues: Tuple[int, ...],
+             memories: Tuple[str, ...], axis: Optional[str] = None,
+             values: Tuple[object, ...] = (None,),
+             ) -> Tuple[MachineConfig, ...]:
+    """Every line x issue model x memory (x one extra axis), in order.
+
+    ``axis`` names one more :class:`MachineConfig` field, crossed
+    innermost with ``values``.  Grids are constants, so each product is
+    built once per process.
+    """
+    return tuple(
+        MachineConfig(
             discipline=discipline,
             issue_model=issue,
             memory=memory,
             branch_mode=mode,
             window_blocks=window,
+            **({axis: value} if axis else {}),
         )
+        for (discipline, window, mode), issue, memory, value
+        in itertools.product(lines, issues, memories, values)
+    )
+
+
+def full_configuration_space(
+    benchmark: Optional[str] = None,
+) -> Tuple[MachineConfig, ...]:
+    """All 560 configurations of the paper's study (any benchmark)."""
+    return _product(scheduling_disciplines(), PAPER_ISSUE_MODELS,
+                    PAPER_MEMORIES)
 
 
 #: Issue models kept by the validation smoke grid: the narrowest
@@ -260,7 +283,9 @@ SMOKE_ISSUE_MODELS = (2, 8)
 SMOKE_MEMORIES = ("A", "C")
 
 
-def smoke_configuration_space() -> Iterator[MachineConfig]:
+def smoke_configuration_space(
+    benchmark: Optional[str] = None,
+) -> Tuple[MachineConfig, ...]:
     """A 40-point slice of the space that still exercises every ordering.
 
     All ten discipline/branch-handling lines are kept (so the window,
@@ -268,18 +293,10 @@ def smoke_configuration_space() -> Iterator[MachineConfig]:
     crossed with two issue models and two perfect memories -- small
     enough for CI to simulate in seconds, rich enough that every
     dominance rule in :mod:`repro.validate.dominance` has pairs to
-    compare.
+    compare.  The same for every benchmark.
     """
-    for (discipline, window, mode), issue, memory in itertools.product(
-        scheduling_disciplines(), SMOKE_ISSUE_MODELS, SMOKE_MEMORIES
-    ):
-        yield MachineConfig(
-            discipline=discipline,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=mode,
-            window_blocks=window,
-        )
+    return _product(scheduling_disciplines(), SMOKE_ISSUE_MODELS,
+                    SMOKE_MEMORIES)
 
 
 #: Default cache-capacity ladder for the per-workload geometry sweeps:
@@ -301,7 +318,7 @@ CACHE_SWEEP_LINES = (
 
 def cache_configuration_space(
     benchmark: Optional[str] = None,
-) -> Iterator[MachineConfig]:
+) -> Tuple[MachineConfig, ...]:
     """The cache-geometry grid: capacity ladder x width x discipline.
 
     With ``benchmark`` given, a workload registered with its own
@@ -316,17 +333,8 @@ def cache_configuration_space(
 
         workload = WORKLOADS.get(benchmark)
         if workload is not None and workload.cache_memories:
-            letters = workload.cache_memories
-    for (discipline, window, mode), issue, memory in itertools.product(
-        CACHE_SWEEP_LINES, CACHE_SWEEP_ISSUE_MODELS, letters
-    ):
-        yield MachineConfig(
-            discipline=discipline,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=mode,
-            window_blocks=window,
-        )
+            letters = tuple(workload.cache_memories)
+    return _product(CACHE_SWEEP_LINES, CACHE_SWEEP_ISSUE_MODELS, letters)
 
 
 #: Discipline/branch lines kept by the speculation grid: the small and
@@ -359,40 +367,22 @@ SPEC_BRANCH_PREDICTORS = ("gshare", "perceptron")
 
 def spec_configuration_space(
     benchmark: Optional[str] = None,
-) -> Iterator[MachineConfig]:
+) -> Tuple[MachineConfig, ...]:
     """The speculation grid: the value-predictor chain x the harness axes.
 
     68 points per benchmark: every :data:`SPEC_SWEEP_LINES` line crossed
     with two issue models, two memories and the five-kind value-predictor
     chain (60 points), plus the promoted branch-predictor family
     (gshare, perceptron) on the large enlarged window at
-    ``value_predictor="none"`` (8 points).  ``benchmark`` is accepted for
-    signature parity with the per-benchmark ``cache`` grid and ignored.
+    ``value_predictor="none"`` (8 points).  The same for every benchmark.
     """
-    del benchmark  # shared grid: same points for every workload
-    for (discipline, window, mode), issue, memory, kind in itertools.product(
-        SPEC_SWEEP_LINES, SPEC_ISSUE_MODELS, SPEC_MEMORIES,
-        SPEC_VALUE_PREDICTORS,
-    ):
-        yield MachineConfig(
-            discipline=discipline,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=mode,
-            window_blocks=window,
-            value_predictor=kind,
-        )
-    for predictor, issue, memory in itertools.product(
-        SPEC_BRANCH_PREDICTORS, SPEC_ISSUE_MODELS, SPEC_MEMORIES
-    ):
-        yield MachineConfig(
-            discipline=Discipline.DYNAMIC,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=BranchMode.ENLARGED,
-            window_blocks=256,
-            predictor=predictor,
-        )
+    configs = _product(SPEC_SWEEP_LINES, SPEC_ISSUE_MODELS, SPEC_MEMORIES,
+                       "value_predictor", SPEC_VALUE_PREDICTORS)
+    large_enlarged = ((Discipline.DYNAMIC, 256, BranchMode.ENLARGED),)
+    for predictor in SPEC_BRANCH_PREDICTORS:
+        configs += _product(large_enlarged, SPEC_ISSUE_MODELS,
+                            SPEC_MEMORIES, "predictor", (predictor,))
+    return configs
 
 
 #: Static lines kept by the scheduling grid (the only lines with
@@ -416,25 +406,25 @@ SCHED_MEMORIES = ("A", "C")
 
 def sched_configuration_space(
     benchmark: Optional[str] = None,
-) -> Iterator[MachineConfig]:
+) -> Tuple[MachineConfig, ...]:
     """The scheduling grid: list vs exact schedules on static machines.
 
     24 points per benchmark: both static lines crossed with three issue
     models and two perfect memories, each at ``optimal_schedule`` off
     and on -- every on/off pair feeds the ``dominance.sched`` rule.
-    ``benchmark`` is accepted for signature parity with the
-    per-benchmark ``cache`` grid and ignored.
+    The same for every benchmark.
     """
-    del benchmark  # shared grid: same points for every workload
-    for (discipline, window, mode), issue, memory, optimal in itertools.product(
-        SCHED_SWEEP_LINES, SCHED_ISSUE_MODELS, SCHED_MEMORIES,
-        (False, True),
-    ):
-        yield MachineConfig(
-            discipline=discipline,
-            issue_model=issue,
-            memory=memory,
-            branch_mode=mode,
-            window_blocks=window,
-            optimal_schedule=optimal,
-        )
+    return _product(SCHED_SWEEP_LINES, SCHED_ISSUE_MODELS, SCHED_MEMORIES,
+                    "optimal_schedule", (False, True))
+
+
+#: The named configuration grids: ``GRIDS[name](benchmark)`` is one
+#: benchmark's points.  Only ``cache`` depends on the benchmark.
+GRIDS: Dict[str, Callable[[Optional[str]], Tuple[MachineConfig, ...]]] = {
+    "full": full_configuration_space,
+    "smoke": smoke_configuration_space,
+    "cache": cache_configuration_space,
+    "spec": spec_configuration_space,
+    "sched": sched_configuration_space,
+}
+

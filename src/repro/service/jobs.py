@@ -28,15 +28,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..chaos.inject import current as chaos_current
+from ..harness.backend import plan_grid
 from ..harness.cache import result_key
-from ..machine.config import (
-    MachineConfig,
-    cache_configuration_space,
-    full_configuration_space,
-    sched_configuration_space,
-    smoke_configuration_space,
-    spec_configuration_space,
-)
+from ..machine.config import GRIDS, MachineConfig
 from ..telemetry.collector import Collector, NULL_COLLECTOR
 from ..telemetry.logging import get_logger
 
@@ -57,18 +51,6 @@ JOB_CANCELLED = "cancelled"
 
 JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 TERMINAL_STATES = frozenset({JOB_DONE, JOB_FAILED, JOB_CANCELLED})
-
-#: The configuration grids a job may ask for.  The ``cache`` grid is
-#: per-benchmark (workloads may pin their own memory letters), so its
-#: space function takes the benchmark name; the shared grids ignore it.
-GRIDS = {
-    "smoke": lambda benchmark=None: smoke_configuration_space(),
-    "full": lambda benchmark=None: full_configuration_space(),
-    "cache": cache_configuration_space,
-    "spec": spec_configuration_space,
-    "sched": sched_configuration_space,
-}
-
 
 class SpecError(ValueError):
     """A malformed or unsatisfiable grid spec (the client's fault: 400)."""
@@ -155,28 +137,30 @@ class GridSpec:
         first point, so grouping keeps at most one prepare in flight and
         every later point of that benchmark rides the warm workload.
         """
-        space = GRIDS[self.grid]
-        out: List[PointJob] = []
-        for name in self.benchmarks:
-            for config in space(name):
-                out.append(PointJob(name, config,
-                                    result_key(name, config, scale)))
-        if self.limit is not None:
-            out = out[: self.limit]
-        return out
+        tasks = plan_grid(
+            self.grid, list(self.benchmarks),
+            lambda name, config: result_key(name, config, scale),
+            benchmark_major=True,
+        )
+        return [PointJob(*task) for task in tasks[: self.limit]]
 
     def digest(self, scale: int) -> str:
-        """Deterministic identity of this grid query at this scale.
+        """Deterministic identity of this grid query at this scale."""
+        return points_digest(self.points(scale))
 
-        Hashes the sorted result-cache keys, so two specs naming the
-        same point set -- and only those -- share a digest, and any
-        ``CACHE_VERSION`` bump changes every digest with it.
-        """
-        hasher = hashlib.sha256()
-        for key in sorted(point.key for point in self.points(scale)):
-            hasher.update(key.encode())
-            hasher.update(b"\n")
-        return hasher.hexdigest()[:12]
+
+def points_digest(points: Sequence[PointJob]) -> str:
+    """Deterministic identity of one job's fan-out.
+
+    Hashes the sorted result-cache keys, so two specs naming the same
+    point set -- and only those -- share a digest, and any
+    ``CACHE_VERSION`` bump changes every digest with it.
+    """
+    hasher = hashlib.sha256()
+    for key in sorted(point.key for point in points):
+        hasher.update(key.encode())
+        hasher.update(b"\n")
+    return hasher.hexdigest()[:12]
 
 
 @dataclass

@@ -55,6 +55,7 @@ from .jobs import (
     SweepJob,
     TERMINAL_STATES,
     default_journal_path,
+    points_digest,
 )
 
 #: Hard ceiling a job's event list may grow to; earlier point events are
@@ -196,7 +197,7 @@ class JobScheduler:
                 http_status=400,
             )
         points = spec.points(scale)
-        digest = spec.digest(scale)
+        digest = points_digest(points)
         with self._cond:
             if self._stop_requested:
                 self.stats["jobs.rejected.stopped"] += 1

@@ -1,8 +1,12 @@
 """CLI tests (cheap paths only; sweeps are covered by the harness tests)."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+from repro.machine.config import GRIDS
+from repro.service.jobs import GridSpec, SpecError
 
 
 class TestList:
@@ -12,6 +16,30 @@ class TestList:
         assert "compress" in out
         assert "4M+12A" in out
         assert "window sizes" in out
+        assert "  full: 560\n" in out
+        assert "  cache: 24 (crc32: 18)\n" in out
+
+
+class TestGridOptions:
+    def test_every_grid_option_offers_the_registry(self):
+        parser = _build_parser()
+        verbs = next(action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        for verb in ("sweep", "validate", "submit"):
+            option = next(action for action in verbs.choices[verb]._actions
+                          if action.dest == "grid")
+            assert list(option.choices) == sorted(GRIDS)
+        assert parser.parse_args(["validate", "--grid", "cache"]).grid == \
+            "cache"
+
+    def test_job_specs_accept_exactly_the_registry(self):
+        accepted = []
+        for grid in sorted(GRIDS) + ["nope", "Full"]:
+            try:
+                accepted.append(GridSpec.from_dict({"grid": grid}).grid)
+            except SpecError:
+                pass
+        assert accepted == sorted(GRIDS)
 
 
 class TestDump:

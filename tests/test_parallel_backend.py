@@ -28,11 +28,16 @@ from repro.harness.backend import (
     ProcessPoolBackend,
     SerialBackend,
     make_backend,
+    plan_grid,
     plan_tasks,
 )
 from repro.harness.errors import WorkloadPrepareError
 from repro.harness.runner import SweepRunner
-from repro.machine.config import full_configuration_space
+from repro.machine.config import (
+    cache_configuration_space,
+    full_configuration_space,
+    smoke_configuration_space,
+)
 from repro.stats.results import SimResult
 from repro.telemetry import MetricsCollector
 
@@ -140,6 +145,23 @@ class TestPlanTasks:
             t[2] for t in plan_tasks(configs, names,
                                      lambda n, c: f"{n}|{c}")
         )
+
+
+    def test_plan_grid_orders_the_registered_grids(self):
+        def key(name, config):
+            return f"{name}|{config}"
+
+        names = ["grep", "crc32"]
+        smoke = list(smoke_configuration_space())
+        for benchmark_major in (False, True):
+            assert plan_grid("smoke", names, key, benchmark_major) == list(
+                plan_tasks(smoke, names, key, benchmark_major)
+            )
+        # The cache ladder differs per benchmark: always name-major.
+        assert plan_grid("cache", names, key) == [
+            (name, config, key(name, config))
+            for name in names for config in cache_configuration_space(name)
+        ]
 
 
 class TestMakeBackend:

@@ -15,19 +15,25 @@ gating"):
   ``--jobs N`` sweeps of one grid report byte-identical findings.
 """
 
+import hashlib
 import json
 import multiprocessing
+import random
 
 import pytest
 
 from repro.cli import main
-from repro.harness.cache import CACHE_VERSION
+from repro.harness.cache import CACHE_VERSION, result_key
 from repro.harness.runner import SweepRunner
 from repro.machine.config import (
     BranchMode,
     Discipline,
     MachineConfig,
+    cache_configuration_space,
+    full_configuration_space,
+    sched_configuration_space,
     smoke_configuration_space,
+    spec_configuration_space,
 )
 from repro.stats.results import SimResult
 from repro.validate import (
@@ -326,11 +332,79 @@ class TestDominance:
         findings = check_dominance(results)
         assert rules(findings) == ["dominance.window"]
 
+    def test_shared_value_link_is_reported_once(self):
+        # Both value chains start none -> last, so one slowed ``last``
+        # point (the weakest on every other axis) is one violated pair.
+        slowed = MachineConfig(Discipline.DYNAMIC, 2, "C",
+                               BranchMode.ENLARGED, window_blocks=4,
+                               value_predictor="last")
+        results = []
+        for cfg in spec_configuration_space():
+            result = graded_result(cfg)
+            if cfg == slowed:
+                result.retired_nodes = result.work_nodes = 2000
+            results.append(result)
+        findings = check_dominance(results)
+        assert rules(findings) == ["dominance.value"]
+        assert findings[0].config == str(slowed)
+        assert "/v:" not in findings[0].reference
+
     def test_result_order_does_not_change_findings(self):
         results = self.slowed(lambda cfg: cfg.issue_model == 8)
         forward = check_dominance(results)
         backward = check_dominance(list(reversed(results)))
         assert sort_findings(forward) == sort_findings(backward)
+
+
+def perturbed_union(seed, names=("grep", "sort")):
+    """Seeded random IPCs over the union of every grid, ~10% dropped.
+
+    1,280 distinct points for grep and sort: every dominance rule has
+    chains to walk, random IPCs invert many adjacent pairs, and the
+    dropped points leave partial chains.
+    """
+    spaces = (
+        lambda name: full_configuration_space(),
+        lambda name: smoke_configuration_space(),
+        cache_configuration_space,
+        spec_configuration_space,
+        sched_configuration_space,
+    )
+    points = {}
+    for name in names:
+        for space in spaces:
+            for cfg in space(name):
+                points.setdefault(result_key(name, cfg, 1), (name, cfg))
+    rng = random.Random(seed)
+    results = []
+    for name, cfg in points.values():
+        retired = rng.randint(3600, 4400)
+        if rng.random() >= 0.1:
+            results.append(clean_result(cfg, benchmark=name,
+                                        retired=retired))
+    return results
+
+
+#: ``(count, sha256)`` of the sorted, de-duplicated
+#: ``(rule, benchmark, config, reference)`` dominance findings over
+#: :func:`perturbed_union` for each seed.
+GOLDEN_DOMINANCE = {
+    0: (886, "56b12087ee1979a138da044c3572e626a13ad75789852dc4fd7f15f9980d985d"),
+    1: (879, "8465ab89dc2268ab8c678bcfc7539859a75bd6fbb71a74456614280043fa431b"),
+    2: (849, "6fc8db50726e2fee1c644ec1de5a0f472ae52052cab2df987efb36335c7daaec"),
+}
+
+
+class TestDominancePins:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_DOMINANCE))
+    def test_perturbed_union_findings(self, seed):
+        findings = check_dominance(perturbed_union(seed))
+        rows = sorted({
+            (f.rule, f.benchmark, f.config, f.reference) for f in findings
+        })
+        text = "\n".join("|".join(row) for row in rows)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (len(rows), digest) == GOLDEN_DOMINANCE[seed]
 
 
 # ----------------------------------------------------------------------
@@ -496,6 +570,25 @@ class TestValidateCommand:
                      "--check", "--baseline", baseline])
         assert code == 0
         assert "clean" in capsys.readouterr().out
+
+    def test_cache_grid_expands_per_benchmark(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        simulated = []
+
+        def stub(cfg):
+            simulated.append(cfg.memory)
+            return graded_result(cfg)
+
+        _install_stub_simulation(monkeypatch, stub)
+        code = main(["validate", "--grid", "cache",
+                     "--benchmarks", "grep,crc32"])
+        assert code == 0
+        assert "clean" in capsys.readouterr().out
+        # grep walks the default 24-point ladder, crc32 its own 18.
+        assert len(simulated) == 24 + 18
+        assert set(simulated[:24]) == {"D", "H", "E", "I"}
+        assert set(simulated[24:]) < set(simulated[:24])
 
     def test_injected_window_slowdown_gates(self, tmp_path, monkeypatch,
                                             capsys):
