@@ -96,22 +96,18 @@ class IssuePlan:
 
     ``words`` is the number of issue words the block opens, which is
     also how far it advances the fetch cycle; the words issue in the
-    consecutive cycles from offset ``first_issue``.  ``reach`` bounds how
-    far past the latest completion time so far the block, and a
-    wrong-path excursion after it, can touch the slot tables.
+    consecutive cycles from offset 1.  Issue model 1 is a word model
+    with one slot of any class, so its first word too opens the cycle
+    after the block is fetched (DESIGN.md §5).  ``reach`` bounds how far
+    past the latest completion time so far the block, and a wrong-path
+    excursion after it, can touch the slot tables.
     """
 
-    __slots__ = ("tmpl", "nodes", "size", "words", "first_issue",
-                 "has_branch", "n_datapath", "branch_index", "assert_indices",
-                 "reach")
+    __slots__ = ("tmpl", "nodes", "size", "words", "has_branch",
+                 "n_datapath", "branch_index", "assert_indices", "reach")
 
     def __init__(self, tmpl: BlockTemplate, issue: IssueModel,
                  max_latency: int):
-        # Issue model 1 issues a block's first node in the block's fetch
-        # cycle, where the word models open their first word one cycle
-        # later: the sequential off-by-one of ROADMAP item 1B, kept here
-        # and only here until it is fixed.
-        first_issue = 0 if issue.sequential else 1
         nodes = []
         words = 0
         mem_left = alu_left = 0
@@ -141,7 +137,7 @@ class IssuePlan:
                         mem_left = issue.mem_slots
                         alu_left = issue.alu_slots
                     alu_left -= 1
-                offset = words - 1 + first_issue
+                offset = words
             if cls == T_BRANCH:
                 branch_index = index
             elif cls == T_ASSERT:
@@ -157,7 +153,6 @@ class IssuePlan:
         self.nodes: Tuple[tuple, ...] = tuple(nodes)
         self.size = len(nodes)
         self.words = words
-        self.first_issue = first_issue
         self.has_branch = tmpl.has_branch
         self.n_datapath = tmpl.n_datapath
         self.branch_index = branch_index
@@ -579,8 +574,7 @@ class DynamicEngine:
             issue_words += words
             issued_slots += plan.n_datapath
             if attributing and words:
-                first = block_start + plan.first_issue
-                _charge_words(first, first + words - 1)
+                _charge_words(block_start + 1, block_start + words)
             if block_complete > horizon:
                 horizon = block_complete
             tmpl = plan.tmpl

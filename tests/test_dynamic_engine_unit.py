@@ -98,14 +98,15 @@ block a:
         # opens word 2 and the add joins it; the syscall takes no slot.
         plan = self.plan(2)
         assert [node[5] for node in plan.nodes] == [1, 1, 2, 2, 2]
-        assert (plan.words, plan.first_issue) == (2, 1)
+        assert plan.words == 2
 
     def test_sequential_offsets(self):
-        # Issue model 1 issues from the block's fetch cycle itself
-        # (ROADMAP item 1B), one node per cycle.
+        # Issue model 1 is a one-slot word model: one node per word, the
+        # first word the cycle after fetch, as on every word model; the
+        # syscall takes no slot and issues with the add.
         plan = self.plan(1)
-        assert [node[5] for node in plan.nodes] == [0, 1, 2, 3, 4]
-        assert (plan.words, plan.first_issue) == (4, 0)
+        assert [node[5] for node in plan.nodes] == [1, 2, 3, 4, 4]
+        assert plan.words == 4
 
     def test_node_encoding(self):
         # Missing sources read a padding register past the real ones; a
