@@ -91,10 +91,6 @@ def _add_config_arguments(command: argparse.ArgumentParser) -> None:
                          help="load-value predictor for speculative"
                               " operand delivery (dynamic machines only;"
                               " default: none)")
-    command.add_argument("--optimal-schedule", action="store_true",
-                         help="pack words with the exact solver instead"
-                              " of the greedy list scheduler (static"
-                              " machines only; see repro.optsched)")
     command.add_argument("--no-static-hints", action="store_true")
     command.add_argument("--scale", type=int, default=None)
 
@@ -109,7 +105,6 @@ def _config_from_args(args: argparse.Namespace) -> MachineConfig:
         static_hints=not args.no_static_hints,
         predictor=args.predictor,
         value_predictor=args.value_predictor,
-        optimal_schedule=getattr(args, "optimal_schedule", False),
     )
 
 
@@ -198,27 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--dot", action="store_true",
                       help="emit a Graphviz CFG instead of assembly")
     dump.add_argument("--scale", type=int, default=None)
-
-    schedule = sub.add_parser(
-        "schedule",
-        help="static schedule-quality study: per-block list/optimal/"
-             "lower-bound makespans and per-loop II vs MII"
-             " (see repro.optsched)",
-    )
-    schedule.add_argument("--benchmark", required=True,
-                          choices=sorted(WORKLOADS))
-    schedule.add_argument("--enlarged", action="store_true",
-                          help="analyse the enlarged program (default:"
-                               " the single-block translation)")
-    schedule.add_argument("--issue", type=int, default=5,
-                          choices=sorted(ISSUE_MODELS))
-    schedule.add_argument("--memory", default="A",
-                          choices=sorted(MEMORY_CONFIGS))
-    schedule.add_argument("--scale", type=int, default=None)
-    schedule.add_argument("--all-blocks", action="store_true",
-                          help="list every block (default: only blocks"
-                               " where the exact schedule beats the list"
-                               " schedule)")
 
     compile_cmd = sub.add_parser(
         "compile", help="compile and run a Mini-C source file"
@@ -492,19 +466,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f" {result.value_squashed} squashed"
               f" / {result.value_predictions} delivered;"
               f" {result.value_replays} replays)")
-    if result.config.optimal_schedule:
-        # Fresh solves publish sched.* counters; a result served from
-        # the cache predates this run's collector and has none.
-        counters = runner.collector.counters
-        blocks = counters.get("sched.blocks", 0)
-        list_words = counters.get("sched.list_words", 0)
-        if blocks and list_words:
-            optimal_words = counters.get("sched.optimal_words", 0)
-            gap = 100.0 * (list_words - optimal_words) / list_words
-            print(f"  sched gap     : {gap:.2f}% static words"
-                  f" ({list_words} list -> {optimal_words} optimal;"
-                  f" {counters.get('sched.closed', 0)}/{blocks}"
-                  f" blocks closed)")
     if result.window_samples:
         print(f"  avg window    : {result.avg_window_blocks:.2f} blocks")
     # Cycle attribution rides in ``extra`` on freshly simulated results
@@ -622,61 +583,6 @@ def _cmd_dump(args: argparse.Namespace) -> int:
         print(program_to_dot(program, title=args.benchmark))
     else:
         print(format_program(program))
-    return 0
-
-
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    """Per-block list-vs-optimal gap study and per-loop II vs MII."""
-    from .machine.config import ISSUE_MODELS, MEMORY_CONFIGS
-    from .optsched import analyze_program
-
-    runner = SweepRunner(scale=args.scale)
-    workload = runner.workload(args.benchmark)
-    program = workload.enlarged if args.enlarged else workload.single
-    issue = ISSUE_MODELS[args.issue]
-    memory = MEMORY_CONFIGS[args.memory]
-    analysis = analyze_program(program, issue, memory)
-
-    line = "enlarged" if args.enlarged else "single"
-    print(f"{args.benchmark} ({line}) on issue {issue} / memory {memory}")
-    print(f"{'block':40s} {'nodes':>5s} {'list':>5s} {'opt':>5s}"
-          f" {'LB':>4s} closed")
-    shown = 0
-    for solution in analysis.blocks:
-        if not args.all_blocks and solution.gap == 0:
-            continue
-        shown += 1
-        sched = solution.schedule
-        print(f"{sched.label:40s} {sched.node_count:>5d}"
-              f" {solution.list_makespan:>5d} {solution.makespan:>5d}"
-              f" {solution.lower_bound:>4d}"
-              f" {'yes' if solution.closed else 'NO'}")
-    hidden = len(analysis.blocks) - shown
-    if hidden:
-        print(f"... {hidden} block(s) where the list schedule is already"
-              f" optimal (--all-blocks shows them)")
-    print(f"totals: {analysis.list_words} list words ->"
-          f" {analysis.optimal_words} optimal"
-          f" (lower bound {analysis.lower_bound_words};"
-          f" gap {analysis.gap_percent:.2f}%;"
-          f" {analysis.closed_blocks}/{len(analysis.blocks)}"
-          f" blocks closed)")
-    if analysis.loops:
-        print()
-        print("innermost loops (modulo scheduling):")
-        print(f"{'block':40s} {'nodes':>5s} {'ResMII':>6s} {'RecMII':>6s}"
-              f" {'MII':>4s} {'II':>4s} {'list':>5s} status")
-        for loop in analysis.loops:
-            status = ("optimal" if loop.closed
-                      else "pipelined" if loop.pipelined else "fallback")
-            print(f"{loop.label:40s} {loop.node_count:>5d}"
-                  f" {loop.res_mii:>6d} {loop.rec_mii:>6d} {loop.mii:>4d}"
-                  f" {loop.ii:>4d} {loop.list_makespan:>5d} {status}")
-    elif args.enlarged:
-        print("no innermost single-block loops in this program")
-    else:
-        print("no innermost single-block loops (try --enlarged: block"
-              " enlargement merges loop bodies into self-looping blocks)")
     return 0
 
 
@@ -1651,7 +1557,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figure": _cmd_figure,
         "report": _cmd_report,
         "dump": _cmd_dump,
-        "schedule": _cmd_schedule,
         "compile": _cmd_compile,
         "sweep": _cmd_sweep,
         "validate": _cmd_validate,

@@ -155,9 +155,6 @@ class MachineConfig:
     predictor: str = "twobit"
     #: data-speculation axis beyond the paper: see repro.predict
     value_predictor: str = "none"
-    #: static-scheduling axis beyond the paper: replace the greedy list
-    #: scheduler with the exact solver (see repro.optsched)
-    optimal_schedule: bool = False
 
     def __post_init__(self) -> None:
         from ..predict import VALUE_PREDICTOR_KINDS
@@ -188,12 +185,6 @@ class MachineConfig:
             and self.discipline is not Discipline.DYNAMIC
         ):
             raise ValueError("perfect prediction is studied on dynamic machines")
-        if self.optimal_schedule and self.discipline is not Discipline.STATIC:
-            # Dynamic machines build their own issue order in hardware;
-            # there is no compile-time word packing to optimise.
-            raise ValueError(
-                "optimal scheduling is studied on static machines"
-            )
 
     @property
     def issue(self) -> IssueModel:
@@ -224,8 +215,6 @@ class MachineConfig:
             base += f"/p:{self.predictor}"
         if self.value_predictor != "none":
             base += f"/v:{self.value_predictor}"
-        if self.optimal_schedule:
-            base += "/opt"
         return base
 
 
@@ -385,39 +374,6 @@ def spec_configuration_space(
     return configs
 
 
-#: Static lines kept by the scheduling grid (the only lines with
-#: compile-time word packing to optimise).
-SCHED_SWEEP_LINES = (
-    (Discipline.STATIC, 1, BranchMode.SINGLE),
-    (Discipline.STATIC, 1, BranchMode.ENLARGED),
-)
-
-#: Issue models kept by the scheduling grid: narrow (where slot
-#: pressure dominates), the paper's mid-width, and the widest (where
-#: the critical path dominates and greedy choices matter most).
-SCHED_ISSUE_MODELS = (2, 5, 8)
-
-#: Memory configurations kept by the scheduling grid: perfect memories
-#: only, so IPC differences come purely from word packing -- a cached
-#: memory would let schedule-induced access reordering perturb cache
-#: state and blur the list-vs-optimal comparison.
-SCHED_MEMORIES = ("A", "C")
-
-
-def sched_configuration_space(
-    benchmark: Optional[str] = None,
-) -> Tuple[MachineConfig, ...]:
-    """The scheduling grid: list vs exact schedules on static machines.
-
-    24 points per benchmark: both static lines crossed with three issue
-    models and two perfect memories, each at ``optimal_schedule`` off
-    and on -- every on/off pair feeds the ``dominance.sched`` rule.
-    The same for every benchmark.
-    """
-    return _product(SCHED_SWEEP_LINES, SCHED_ISSUE_MODELS, SCHED_MEMORIES,
-                    "optimal_schedule", (False, True))
-
-
 #: The named configuration grids: ``GRIDS[name](benchmark)`` is one
 #: benchmark's points.  Only ``cache`` depends on the benchmark.
 GRIDS: Dict[str, Callable[[Optional[str]], Tuple[MachineConfig, ...]]] = {
@@ -425,6 +381,5 @@ GRIDS: Dict[str, Callable[[Optional[str]], Tuple[MachineConfig, ...]]] = {
     "smoke": smoke_configuration_space,
     "cache": cache_configuration_space,
     "spec": spec_configuration_space,
-    "sched": sched_configuration_space,
 }
 

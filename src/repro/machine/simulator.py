@@ -86,35 +86,17 @@ class PreparedWorkload:
         )
 
     def schedules_for(self, config: MachineConfig,
-                      collector: Collector = NULL_COLLECTOR,
                       ) -> Dict[str, ScheduledBlock]:
-        """Schedule the chosen program for a static configuration.
-
-        The greedy list scheduler by default; the exact solver (with its
-        on-disk schedule memo) when the configuration carries
-        ``optimal_schedule=True``.
-        """
+        """List-schedule the chosen program for a static configuration."""
         key = (config.branch_mode is BranchMode.SINGLE, config.issue_model,
-               config.memory_config.hit_cycles, config.optimal_schedule)
+               config.memory_config.hit_cycles)
         cached = self._schedule_cache.get(key)
         if cached is None:
-            if config.optimal_schedule:
-                # Imported lazily: optsched depends on this module's
-                # sibling config types.
-                from ..optsched import optimal_schedule_program
-
-                cached = optimal_schedule_program(
-                    self.program_for(config.branch_mode),
-                    config.issue,
-                    config.memory_config,
-                    collector=collector,
-                )
-            else:
-                cached = schedule_program(
-                    self.program_for(config.branch_mode),
-                    config.issue,
-                    config.memory_config,
-                )
+            cached = schedule_program(
+                self.program_for(config.branch_mode),
+                config.issue,
+                config.memory_config,
+            )
             self._schedule_cache[key] = cached
         return cached
 
@@ -180,7 +162,7 @@ def simulate(prepared: PreparedWorkload, config: MachineConfig,
     trace = prepared.trace_for(config.branch_mode)
     if config.discipline is Discipline.STATIC:
         result = StaticEngine(
-            templates, prepared.schedules_for(config, collector), trace, config,
+            templates, prepared.schedules_for(config), trace, config,
             benchmark=prepared.name, collector=collector,
             max_cycles=max_cycles, self_check=self_check,
         ).run()

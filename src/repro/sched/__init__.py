@@ -1,5 +1,7 @@
-"""Static scheduling: list scheduler, shared dependences, latency model."""
+"""Static scheduling: list scheduler, shared dependences, latency model,
+and the schedule checker with its certified lower bound."""
 
+from .check import check_schedule, lower_bound
 from .latency import BASE_LATENCIES, latency_table, node_latency
 from .list_scheduler import (
     ScheduledBlock,
@@ -13,7 +15,9 @@ __all__ = [
     "BASE_LATENCIES",
     "ScheduledBlock",
     "build_dependences",
+    "check_schedule",
     "latency_table",
+    "lower_bound",
     "may_alias",
     "node_latency",
     "schedule_block",

@@ -5,12 +5,10 @@ ALU results are available the next cycle and loads are scheduled assuming
 the cache-hit latency of the target memory configuration (a miss stalls
 the pipeline at the consumer, which the run-time engine models).
 
-This module is the *single source of truth* for those assumptions: both
-the greedy list scheduler (:mod:`repro.sched.list_scheduler`) and the
-exact constraint solver (:mod:`repro.optsched`) consume
-:func:`node_latency` / :func:`latency_table`, so the two schedulers can
-never silently disagree about a node's latency (tested in
-``tests/test_optsched.py``).
+This module is the *single source of truth* for those assumptions: the
+dependence relation :func:`repro.sched.build_dependences` weights its
+flow edges with :func:`node_latency`, so the list scheduler, the
+schedule checker and its lower bound all agree on a node's latency.
 """
 
 from __future__ import annotations

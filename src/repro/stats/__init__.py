@@ -8,7 +8,6 @@ from .aggregate import (
     group_by,
     histogram_stats,
     mean_redundancy,
-    schedule_summary,
     speedup_matrix,
     summarize,
     telemetry_report,
@@ -24,7 +23,6 @@ __all__ = [
     "group_by",
     "histogram_stats",
     "mean_redundancy",
-    "schedule_summary",
     "speedup_matrix",
     "summarize",
     "telemetry_report",

@@ -14,7 +14,7 @@ from ..telemetry.collector import Collector
 from .results import SimResult
 
 #: Version tag of the ``telemetry.json`` document layout.
-TELEMETRY_SCHEMA = "repro.telemetry/1"
+TELEMETRY_SCHEMA = "repro.telemetry/2"
 
 #: Counter-name prefix under which the engines publish cycle
 #: attribution (``cycles.<engine>.<bucket>``; see
@@ -202,40 +202,6 @@ def accuracy_summary(counters: Dict[str, int]) -> Dict[str, float]:
     return accuracy
 
 
-def schedule_summary(counters: Dict[str, int]) -> Dict[str, Any]:
-    """Static schedule-quality facts from the ``sched.*`` counters.
-
-    Published by :func:`repro.optsched.optimal_schedule_program` on
-    runs with ``optimal_schedule=True``; empty when no block was solved
-    exactly (list-only grids keep their telemetry byte-identical).
-    ``gap_percent`` is the list-vs-optimal makespan reduction over every
-    solved block; ``closed_fraction`` is how many blocks carry the
-    ``makespan == lower_bound`` certificate.
-    """
-    blocks = counters.get("sched.blocks", 0)
-    if not blocks:
-        return {}
-    list_words = counters.get("sched.list_words", 0)
-    optimal_words = counters.get("sched.optimal_words", 0)
-    summary: Dict[str, Any] = {
-        "blocks": blocks,
-        "closed": counters.get("sched.closed", 0),
-        "fallback": counters.get("sched.fallback", 0),
-        "memo_hits": counters.get("sched.memo_hits", 0),
-        "list_words": list_words,
-        "optimal_words": optimal_words,
-        "lower_bound_words": counters.get("sched.lower_bound_words", 0),
-        "closed_fraction": round(
-            counters.get("sched.closed", 0) / blocks, 6
-        ),
-    }
-    if list_words:
-        summary["gap_percent"] = round(
-            100.0 * (list_words - optimal_words) / list_words, 4
-        )
-    return summary
-
-
 def span_totals(spans: Sequence[Dict[str, Any]],
                 ) -> Dict[str, Dict[str, Any]]:
     """Fold raw span records into ``{name: {total_s, count}}``."""
@@ -271,11 +237,8 @@ def telemetry_report(collector: Collector,
     :func:`attribution_breakdown` (empty unless fresh simulations ran
     with the collector enabled); ``accuracy`` is
     :func:`accuracy_summary` over the same counters
-    (``branch.accuracy`` / ``value.accuracy``); ``schedule`` is
-    :func:`schedule_summary` over the exact-scheduler's ``sched.*``
-    counters (empty unless ``optimal_schedule`` points ran).
-    ``context`` (when given)
-    records run-level facts such as the execution backend and worker
+    (``branch.accuracy`` / ``value.accuracy``).  ``context`` (when
+    given) records run-level facts such as the execution backend and worker
     count; a parallel sweep's document is the parent-side merge of every
     worker's collector snapshot, so the schema is identical across
     backends.  ``validation`` (when given) is a
@@ -299,7 +262,6 @@ def telemetry_report(collector: Collector,
         "phases": span_totals(collector.spans),
         "attribution": attribution_breakdown(collector.counters),
         "accuracy": accuracy_summary(collector.counters),
-        "schedule": schedule_summary(collector.counters),
     }
     if context:
         document["context"] = dict(context)

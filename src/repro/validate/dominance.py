@@ -2,7 +2,7 @@
 
 The paper's argument is built from ordered comparisons across its
 configuration grid: a strictly more capable machine must never lose.
-Six partial orders are machine-checked over a sweep's result set, each
+Five partial orders are machine-checked over a sweep's result set, each
 comparing ``retired_per_cycle`` (the paper's figure of merit) between
 two points that differ in exactly one axis:
 
@@ -22,11 +22,7 @@ two points that differ in exactly one axis:
   speculation.  ``stride`` and ``context`` are deliberately *not*
   ordered against each other: arithmetic sequences favour the stride
   table, repeating non-arithmetic patterns favour the FCM, and measured
-  grids show each winning on different workloads;
-* ``dominance.sched``   -- the exact static scheduler never loses to
-  the greedy list scheduler at equal configuration: the optimal
-  schedule is seeded with the list schedule as its upper bound, so a
-  loss would indicate a solver or engine bug, not a modelling choice.
+  grids show each winning on different workloads.
 
 Each rule is one row of :data:`_RULES`: the :class:`MachineConfig`
 field it orders and that field's weakest-first chains.  One pass checks
@@ -82,8 +78,6 @@ _RULES = (
     ("dominance.value", "value_predictor",
      (("none", "last", "stride", "perfect"),
       ("none", "last", "context", "perfect")), "value predictor", None),
-    ("dominance.sched", "optimal_schedule", ((False, True),),
-     "static scheduler", None),
 )
 
 #: The closed vocabulary of dominance rule identifiers.

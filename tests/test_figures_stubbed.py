@@ -129,10 +129,6 @@ class TestReportGeneration:
             report_mod, "static_ratio_data",
             lambda r: {"sort": 2.5, "grep": 3.0},
         )
-        monkeypatch.setattr(
-            report_mod, "schedule_gap_section",
-            lambda r: "## Optimal static scheduling (beyond the paper)\n",
-        )
         text = report_mod.generate_report(runner)
         assert "# EXPERIMENTS" in text
         assert "Figure 2" in text

@@ -7,7 +7,10 @@ checks the whole front end holds two invariants:
 * any generated program compiles and runs without crashing, and the
   optimised and unoptimised builds agree on its observable behaviour;
 * the lexer reports token positions that point at the token's own text,
-  so every downstream diagnostic location is trustworthy.
+  so every downstream diagnostic location is trustworthy;
+* the list scheduler packs every block of a generated program, single
+  and enlarged, into a legal greedy-complete schedule on every issue
+  model.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,9 @@ from repro.interp import run_program
 from repro.lang import compile_source
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import TokenType
+from repro.machine.config import ISSUE_MODELS, MEMORY_CONFIGS
+from repro.machine.simulator import prepare_workload
+from repro.sched import check_schedule, schedule_program
 
 # ----------------------------------------------------------------------
 # Random well-formed programs
@@ -103,6 +109,19 @@ def test_generated_programs_compile_and_run(source):
     assert 0 <= optimized.exit_code <= 127
     assert optimized.exit_code == plain.exit_code
     assert optimized.output == plain.output
+
+
+@settings(max_examples=25, deadline=None)
+@given(mini_c_program(), st.sampled_from(sorted(ISSUE_MODELS)),
+       st.sampled_from(["A", "C", "G"]))
+def test_generated_programs_schedule_greedily(source, issue_index, letter):
+    workload = prepare_workload("generated", compile_source(source),
+                                {0: b""}, {0: b""})
+    issue, memory = ISSUE_MODELS[issue_index], MEMORY_CONFIGS[letter]
+    for program in (workload.single, workload.enlarged):
+        schedules = schedule_program(program, issue, memory)
+        for block in program:
+            check_schedule(block, schedules[block.label], issue, memory)
 
 
 # ----------------------------------------------------------------------

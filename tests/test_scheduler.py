@@ -1,5 +1,7 @@
-"""Static list-scheduler tests: dependences, shapes, coverage."""
+"""Static list-scheduler tests: dependences, shapes, coverage, and the
+schedule checker with its certified lower bound."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import (
@@ -13,11 +15,23 @@ from repro.isa import (
     ret,
     store,
 )
+from repro.isa.ops import NodeKind
 from repro.machine.config import ISSUE_MODELS, MEMORY_CONFIGS
 from repro.program import BasicBlock
+from repro.sched import (
+    BASE_LATENCIES,
+    ScheduledBlock,
+    check_schedule,
+    latency_table,
+    lower_bound,
+    node_latency,
+    schedule_program,
+)
 from repro.sched.list_scheduler import schedule_block
+from repro.workloads import WORKLOADS, prepared
 
 ISSUE8 = ISSUE_MODELS[8]
+ISSUE5 = ISSUE_MODELS[5]
 ISSUE2 = ISSUE_MODELS[2]
 SEQ = ISSUE_MODELS[1]
 MEM_A = MEMORY_CONFIGS["A"]
@@ -104,6 +118,20 @@ class TestDependences:
         term_cycle = placement[len(nodes) - 1]
         assert all(term_cycle >= placement[i] for i in range(len(nodes) - 1))
 
+    def test_terminator_shares_the_last_word(self):
+        # Its latency-0 edges release it inside the cycle that issues
+        # the last body node, so it joins that word.
+        sched, _ = schedule([movi(1, 1), movi(2, 2)])
+        assert sched.words == [[0, 1, 2]]
+
+    def test_anti_dependent_successor_shares_the_word(self):
+        # r1 is read by the add and then redefined: the redefinition
+        # waits only for the read (latency 0), so both issue together.
+        body = [movi(1, 1), alu(AluOp.ADD, 2, Reg(1), Imm(1)), movi(1, 7)]
+        sched, _ = schedule(body)
+        placement = cycle_of(sched)
+        assert placement[1] == placement[2]
+
 
 class TestMemoryOrdering:
     def test_may_alias_store_load_ordered(self):
@@ -170,9 +198,9 @@ class TestMemoryOrdering:
 class TestAliasRelation:
     """Direct regression tests for the shared conservative alias test.
 
-    The exact solver (repro.optsched) reuses ``may_alias`` and
-    ``build_dependences`` verbatim, so these pin the relation itself,
-    not just the placements the list scheduler derives from it.
+    The schedule checker reuses ``may_alias`` and ``build_dependences``
+    verbatim, so these pin the relation itself, not just the placements
+    the list scheduler derives from it.
     """
 
     def test_same_base_disjoint_offsets_do_not_alias(self):
@@ -272,3 +300,90 @@ def test_random_blocks_schedule_completely(spec, issue_index):
         if src in last_writer:
             assert placement[index] > placement[last_writer[src]]
         last_writer[node.dest] = index
+
+
+class TestLatencyTable:
+    """One latency table feeds the scheduler and the checker."""
+
+    def test_table_covers_every_node_kind(self):
+        assert set(BASE_LATENCIES) == set(NodeKind)
+        for memory in (MEM_A, MEM_C):
+            assert set(latency_table(memory)) == set(NodeKind)
+
+    def test_load_latency_tracks_memory(self):
+        assert node_latency(NodeKind.LOAD, MEM_A) == MEM_A.hit_cycles
+        assert node_latency(NodeKind.LOAD, MEM_C) == MEM_C.hit_cycles
+        assert latency_table(MEM_C)[NodeKind.LOAD] == MEM_C.hit_cycles
+
+
+def checked(words, body, issue=ISSUE8, memory=MEM_A):
+    """Run the checker on hand-written ``words`` for ``body`` + ret."""
+    block = BasicBlock("blk", body, ret())
+    count = len(list(block.nodes()))
+    check_schedule(block, ScheduledBlock("blk", words, {}, count),
+                   issue, memory)
+
+
+class TestScheduleChecker:
+    def test_lower_bounds(self):
+        # Critical path: a movi -> add -> add chain of latency-1 edges
+        # fills cycles 0..2; the terminator shares the last one.
+        chain = list(BasicBlock("blk", [
+            movi(1, 1),
+            alu(AluOp.ADD, 2, Reg(1), Imm(1)),
+            alu(AluOp.ADD, 3, Reg(2), Imm(1)),
+        ], ret()).nodes())
+        assert lower_bound(chain, ISSUE8, MEM_A) == 3
+        # Resource: 8 independent loads through 2 memory slots.
+        wide = list(BasicBlock(
+            "blk", [load(i + 1, 10, 8 * i) for i in range(8)], ret()
+        ).nodes())
+        assert lower_bound(wide, ISSUE5, MEM_A) == 4
+        # Sequential: every node, the terminator too, takes the slot.
+        assert lower_bound(chain, SEQ, MEM_A) == 4
+
+    def test_accepts_a_greedy_schedule(self):
+        checked([[0, 1, 2]], [movi(1, 1), movi(2, 2)])
+
+    def test_rejects_a_node_issued_twice(self):
+        with pytest.raises(AssertionError, match="issued twice"):
+            checked([[0, 1, 2], [1]], [movi(1, 1), movi(2, 2)])
+
+    def test_rejects_a_missing_node(self):
+        with pytest.raises(AssertionError, match="never issue"):
+            checked([[0, 2]], [movi(1, 1), movi(2, 2)])
+
+    def test_rejects_a_broken_latency(self):
+        body = [movi(1, 1), alu(AluOp.ADD, 2, Reg(1), Imm(1))]
+        with pytest.raises(AssertionError, match="1-cycle edge"):
+            checked([[0, 1, 2]], body)
+
+    def test_rejects_an_overfull_word(self):
+        body = [load(i + 1, 10, 8 * i) for i in range(3)]
+        with pytest.raises(AssertionError, match="exceeds issue model"):
+            checked([[0, 1, 2, 3]], body, issue=ISSUE5)
+
+    def test_rejects_a_node_left_out_of_a_word_it_fits(self):
+        # The list scheduler's old once-per-cycle ready list: the
+        # terminator was ready in cycle 0 but got a word to itself.
+        with pytest.raises(AssertionError, match="was ready at cycle 0"):
+            checked([[0, 1], [2]], [movi(1, 1), movi(2, 2)])
+
+    def test_a_full_class_excuses_a_ready_node(self):
+        # ISSUE2 has one memory slot: the second load must wait.
+        body = [load(1, 10, 0), load(2, 10, 8)]
+        checked([[0], [1, 2]], body, issue=ISSUE2)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_schedule_is_checked(name):
+    """Every block of every workload, single and enlarged, on issue
+    models 1-10 and memories A and G, is a greedy-complete schedule."""
+    workload = prepared(WORKLOADS[name])
+    for program in (workload.single, workload.enlarged):
+        for issue in ISSUE_MODELS.values():
+            for memory in (MEM_A, MEMORY_CONFIGS["G"]):
+                schedules = schedule_program(program, issue, memory)
+                for block in program:
+                    check_schedule(block, schedules[block.label], issue,
+                                   memory)

@@ -302,7 +302,7 @@ class TestTelemetryReport:
         collector.record_point(benchmark="sort", wall_s=0.5)
         report = telemetry_report(collector)
         parsed = json.loads(json.dumps(report))
-        assert parsed["schema"] == "repro.telemetry/1"
+        assert parsed["schema"] == "repro.telemetry/2"
         assert parsed["counters"]["sweep.cache.hit"] == 2
         assert parsed["histograms"]["sweep.point.wall_s"]["count"] == 1
         assert parsed["timers"]["sweep.total_s"]["count"] == 1
